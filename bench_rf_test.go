@@ -118,6 +118,28 @@ func benchRFSpace(b *testing.B, compiled bool) {
 func BenchmarkRFSpaceEvalTreeWalk(b *testing.B) { benchRFSpace(b, false) }
 func BenchmarkRFSpaceEvalCompiled(b *testing.B) { benchRFSpace(b, true) }
 
+// BenchmarkRFSpaceEvalCompiledVaried cycles the batched sweep over 64
+// distinct random kernels: the serving regime, where every profiling
+// decision sweeps a different kernel's counters and the set-descent
+// sweep follows a different path through each tree.
+func BenchmarkRFSpaceEvalCompiledVaried(b *testing.B) {
+	m := benchRF(b, true)
+	rng := rand.New(rand.NewSource(4))
+	sets := make([]counters.Set, 64)
+	for i := range sets {
+		sets[i] = kernel.Random("varied", rng).Counters()
+	}
+	space := hw.DefaultSpace()
+	dst := make([]predict.Estimate, space.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !m.PredictSpace(sets[i&63], space, dst) {
+			b.Fatal("PredictSpace declined on a compiled model")
+		}
+	}
+}
+
 // BenchmarkRFSpaceEvalParallel fans concurrent batched sweeps across
 // GOMAXPROCS goroutines — each with its own kernels and dst, sharing
 // one model and its arena pool, the decision batcher's sharing

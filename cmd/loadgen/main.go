@@ -123,6 +123,10 @@ type options struct {
 	batchMax    int
 	zipfS       float64
 	out         string
+	// trainKernels overrides the self-hosted model's training population
+	// (0 = DefaultTrainOptions). Not a flag: tests set it to stand a
+	// server up in seconds.
+	trainKernels int
 }
 
 func main() {
@@ -249,7 +253,22 @@ func run(o options) error {
 
 	// runModes runs one concurrency level once (direct) or twice
 	// (direct + batched) depending on -batch, flipping the coordinator
-	// gate around the batched run.
+	// gate around the batched run. Under -trace-sample each mode's phase
+	// breakdown is taken right after that mode finishes, against the
+	// span watermark the previous mode (or CPU-sweep level) left, so
+	// every mode is charged exactly its own spans.
+	var lastSpanID uint64
+	attribute := func(lr *levelReport) {
+		if o.traceSample == 0 {
+			return
+		}
+		phases, maxID, err := phaseBreakdown(base, lastSpanID)
+		if err != nil {
+			slog.Warn("phase breakdown unavailable", "err", err)
+			return
+		}
+		lr.Phases, lastSpanID = phases, maxID
+	}
 	runModes := func(n int) ([]levelReport, error) {
 		assign, err := catalog.assign(n, o)
 		if err != nil {
@@ -259,6 +278,7 @@ func run(o options) error {
 		if err != nil {
 			return nil, err
 		}
+		attribute(&lr)
 		out := []levelReport{lr}
 		if o.batch {
 			h.batchOn.Store(true)
@@ -268,6 +288,7 @@ func run(o options) error {
 				return nil, err
 			}
 			blr.Batched = true
+			attribute(&blr)
 			out = append(out, blr)
 		}
 		return out, nil
@@ -299,6 +320,7 @@ func run(o options) error {
 			}
 			for _, lr := range got {
 				printLevel(lr)
+				printPhases(lr.Phases)
 			}
 			lrs = append(lrs, got...)
 		}
@@ -311,7 +333,6 @@ func run(o options) error {
 		fmt.Printf("gomaxprocs=%d\n", primary)
 	}
 
-	var lastSpanID uint64
 	for li, n := range levels {
 		got, err := runModes(n)
 		if err != nil {
@@ -319,14 +340,6 @@ func run(o options) error {
 		}
 		for i := range got {
 			lr := &got[i]
-			if o.traceSample > 0 {
-				phases, maxID, err := phaseBreakdown(base, lastSpanID)
-				if err != nil {
-					slog.Warn("phase breakdown unavailable", "err", err)
-				} else {
-					lr.Phases, lastSpanID = phases, maxID
-				}
-			}
 			if o.drift {
 				lr.SnapshotGen = h.decider.CurrentSnapshot().Gen
 			}
@@ -550,7 +563,11 @@ type hosted struct {
 // versus batched levels without rebuilding its sessions.
 func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 	slog.Info("training Random Forest predictor for the self-hosted server", "seed", o.seed)
-	model, err := mpcdvfs.TrainRandomForest(mpcdvfs.DefaultTrainOptions(o.seed))
+	topt := mpcdvfs.DefaultTrainOptions(o.seed)
+	if o.trainKernels > 0 {
+		topt.NumKernels = o.trainKernels
+	}
+	model, err := mpcdvfs.TrainRandomForest(topt)
 	if err != nil {
 		return nil, err
 	}

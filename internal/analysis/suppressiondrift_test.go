@@ -25,9 +25,9 @@ func TestNoSuppressionDrift(t *testing.T) {
 		// hotpath-alloc: the eval cache's miss-path insert and the
 		// deployed-model PredictKernel call, both off the pinned warm path.
 		filepath.Join("internal", "core", "climb.go"): 2,
-		// hotpath-alloc: batched-sweep arena pool — once-per-space
-		// install, pool-miss build, defensive foreign-arena rebuild.
-		filepath.Join("internal", "predict", "spaceeval.go"): 3,
+		// hotpath-alloc: batched-sweep arena pool — once-per-space pool
+		// and sweep-plan install, pool-miss workspace build.
+		filepath.Join("internal", "predict", "spaceeval.go"): 2,
 		// determinism-taint: CHA may-target through serve.Client.Decide
 		// (latency-callback timing, not decision input).
 		filepath.Join("internal", "sim", "sim.go"): 1,

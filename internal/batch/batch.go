@@ -10,7 +10,9 @@
 // would have produced. This holds because rf.PredictBatchKeysInto
 // accumulates each row's leaf values independently — trees outermost,
 // one accumulator per row, one division at the end — so fusing N
-// request matrices into one never changes any row's summation order;
+// request matrices into one never changes any row's summation order,
+// and it and the direct path's set-descent sweep both return the tree
+// walk's bits on every row;
 // the predict.FusedPlan stages each request with the exact featurize
 // sequence of the direct path; and the session-side predict.RemoteSweep
 // reapplies per-session calibration after unparking. Any failure mode

@@ -10,6 +10,7 @@ import (
 	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/kernel"
+	"mpcdvfs/internal/rf"
 )
 
 // quickRF trains a small forest pair fast enough for unit tests that
@@ -270,6 +271,69 @@ func TestPredictSpaceConcurrent(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestPredictSpaceShapesBitExact drives the set-descent sweep through
+// every shape of decision space — one configuration, sizes straddling a
+// 64-bit set word (63, 64, 65), a single varying knob, permuted knob
+// orders and the default space — with ordinary counters and with NaN,
+// ±Inf, negative and zero counters. Every estimate must be bit-identical
+// to the tree walk, to the compiled scalar path and to the keyed batch
+// kernel over the assembled rows.
+func TestPredictSpaceShapesBitExact(t *testing.T) {
+	m := quickRF(t)
+	tc, pc := m.CompiledForests()
+	spaces := map[string]hw.Space{
+		"size-1":         {CPUs: []hw.CPUPState{hw.P4}, NBs: []hw.NBState{hw.NB1}, GPUs: []hw.GPUState{hw.DPM2}, CUs: []int8{6}},
+		"size-63":        {CPUs: []hw.CPUPState{hw.P1, hw.P2, hw.P3, hw.P4, hw.P5, hw.P6, hw.P7}, NBs: []hw.NBState{hw.NB0, hw.NB2, hw.NB3}, GPUs: []hw.GPUState{hw.DPM0, hw.DPM2, hw.DPM4}, CUs: []int8{8}},
+		"size-64":        {CPUs: []hw.CPUPState{hw.P1, hw.P3, hw.P5, hw.P7}, NBs: []hw.NBState{hw.NB0, hw.NB1, hw.NB2, hw.NB3}, GPUs: []hw.GPUState{hw.DPM0, hw.DPM1, hw.DPM3, hw.DPM4}, CUs: []int8{4}},
+		"size-65":        {CPUs: []hw.CPUPState{hw.P2}, NBs: []hw.NBState{hw.NB0}, GPUs: []hw.GPUState{hw.DPM0, hw.DPM1, hw.DPM2, hw.DPM3, hw.DPM4}, CUs: []int8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}},
+		"single-knob":    {CPUs: []hw.CPUPState{hw.P3}, NBs: []hw.NBState{hw.NB1}, GPUs: []hw.GPUState{hw.DPM0, hw.DPM1, hw.DPM2, hw.DPM3, hw.DPM4}, CUs: []int8{4}},
+		"permuted-knobs": {CPUs: []hw.CPUPState{hw.P7, hw.P2, hw.P5, hw.P1, hw.P6, hw.P3, hw.P4}, NBs: []hw.NBState{hw.NB3, hw.NB0, hw.NB2, hw.NB1}, GPUs: []hw.GPUState{hw.DPM4, hw.DPM0, hw.DPM2}, CUs: []int8{8, 2, 6, 4}},
+		"default":        hw.DefaultSpace(),
+	}
+	rng := rand.New(rand.NewSource(12))
+	sets := []counters.Set{kernel.Random("a", rng).Counters(), kernel.NewMemoryBound("mb", 1).Counters()}
+	special := kernel.Random("s", rng).Counters()
+	special[0], special[2], special[4], special[6] = math.NaN(), math.Inf(1), -3, 0
+	sets = append(sets, special)
+	inf := kernel.Random("i", rng).Counters()
+	inf[1], inf[3], inf[5] = math.Inf(-1), math.Copysign(0, -1), -1e300
+	sets = append(sets, inf)
+
+	same := func(a, b Estimate) bool {
+		return math.Float64bits(a.TimeMS) == math.Float64bits(b.TimeMS) &&
+			math.Float64bits(a.GPUPowerW) == math.Float64bits(b.GPUPowerW)
+	}
+	for name, space := range spaces {
+		cfgs := space.Configs()
+		dst := make([]Estimate, len(cfgs))
+		keys := make([]uint64, len(cfgs)*numRFFeatures)
+		tOut, pOut := make([]float64, len(cfgs)), make([]float64, len(cfgs))
+		for si, cs := range sets {
+			if !m.PredictSpace(cs, space, dst) {
+				t.Fatalf("%s: PredictSpace declined on a compiled model", name)
+			}
+			var row [numRFFeatures]float64
+			for r, c := range cfgs {
+				featurizeInto(row[:], cs, c)
+				rf.KeysInto(keys[r*numRFFeatures:(r+1)*numRFFeatures], row[:])
+			}
+			tc.PredictBatchKeysInto(tOut, keys)
+			pc.PredictBatchKeysInto(pOut, keys)
+			for r, c := range cfgs {
+				compiled := m.PredictKernel(cs, c)
+				m.SetCompiled(false)
+				walk := m.PredictKernel(cs, c)
+				m.SetCompiled(true)
+				keyed := Estimate{TimeMS: math.Exp(tOut[r]) * instsOf(cs), GPUPowerW: pOut[r]}
+				if !same(dst[r], walk) || !same(dst[r], compiled) || !same(dst[r], keyed) {
+					t.Fatalf("%s set %d row %d (%v): sweep %+v, tree-walk %+v, scalar %+v, keyed batch %+v",
+						name, si, r, c, dst[r], walk, compiled, keyed)
+				}
+			}
 		}
 	}
 }

@@ -114,14 +114,15 @@ func (rs *RemoteSweep) predictSpace(cs counters.Set, space hw.Space, dst []Estim
 
 // FusedPlan is the coordinator-side workspace for fusing sweeps that
 // share one (model, space) pair: a rf.FusedKeys matrix whose every slot
-// has the space's config-suffix columns pre-keyed (the spaceArena
-// layout, replicated per slot), plus the fused forest output vectors.
-// Stage patches one request's counter prefix into a slot; Execute runs
-// both forests over the staged prefix as one contiguous mega-batch and
-// scatters per-request estimates. Per-slot results are bit-identical to
-// RandomForest.PredictSpace for the same inputs: identical key rows,
-// and rf.PredictFusedInto never reorders any row's within-row
-// reduction.
+// has the space's config-suffix columns pre-keyed, plus the fused
+// forest output vectors. Stage patches one request's counter prefix
+// into a slot; Execute runs both forests over the staged prefix as one
+// contiguous mega-batch and scatters per-request estimates. Per-slot
+// results are bit-identical to RandomForest.PredictSpace for the same
+// inputs: the slot's key rows are the featurized rows of a direct
+// sweep, rf.PredictFusedInto never reorders any row's within-row
+// reduction, and both it and the direct sweep's set descent return the
+// tree walk's bits on every row.
 type FusedPlan struct {
 	model *RandomForest
 	space hw.Space
@@ -176,9 +177,9 @@ func (p *FusedPlan) Serves(model *RandomForest, space hw.Space) bool {
 // MaxRequests is the slot capacity of one fused evaluation.
 func (p *FusedPlan) MaxRequests() int { return p.fk.MaxRequests() }
 
-// Stage keys one request's counter prefix into slot — the same
-// counterPrefix + rf.KeysInto + per-row copy sequence predictSpace
-// runs, so the slot's key rows equal the arena rows of a direct sweep.
+// Stage keys one request's counter prefix into slot: the same
+// counterPrefix a direct sweep computes, key-transformed and copied
+// into every row, so each slot row is a direct sweep's featurized row.
 //
 //mpclint:hotpath pinned at 0 allocs/op by TestFusedPlanZeroAlloc
 func (p *FusedPlan) Stage(slot int, cs counters.Set) {

@@ -82,10 +82,11 @@ type RandomForest struct {
 	powerCompiled *rf.CompiledForest
 	treeWalk      bool
 
-	// arenas is the pool of reusable batched-sweep workspaces behind
-	// PredictSpace: concurrent sweeps each borrow a private arena, so
-	// batched evaluation from many sessions never serializes on a lock.
-	// Rebuilt (by arenaFor) whenever the swept space changes.
+	// arenas holds the immutable sweep plans and the pool of reusable
+	// workspaces behind PredictSpace: concurrent sweeps share the plans
+	// and each borrow a private arena, so batched evaluation from many
+	// sessions never serializes on a lock. Rebuilt (by arenaFor)
+	// whenever the swept space changes.
 	arenas atomic.Pointer[arenaPool]
 	// Cumulative arena pool traffic, plus the optional metrics mirror
 	// installed by InstrumentArenaPool.

@@ -41,71 +41,61 @@ type TracedSpaceEvaluator interface {
 	PredictSpaceTraced(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool
 }
 
-// spaceArena is one batched-sweep workspace: a row-major matrix of
-// key-transformed features (rf.KeyOf order-preserving integer keys, the
-// form the branchless compiled kernels compare in) with the
-// per-configuration suffix columns pre-keyed for every configuration of
-// one space, plus the two forest output vectors. Only the
-// counter-prefix columns change between sweeps, so a steady-state sweep
-// keys the eight counter features once, patches those keys into each
-// row, runs two batched forest evaluations over the keyed matrix, and
-// allocates nothing.
-//
-// Arenas are space-specific: every arena in a pool was built by
-// newSpaceArena for the pool's space, and PredictSpace revalidates with
-// hw.Space.Equal before trusting the precomputed suffix columns.
+// spaceArena is one batched-sweep workspace: the two forest output
+// vectors and the set-descent scratch stack. Everything that depends on
+// the space itself lives in the pool's immutable sweep plans, so an
+// arena carries no space-specific contents — only space-sized buffers.
 type spaceArena struct {
-	space hw.Space  // the space keys was built for
-	keys  []uint64  // space.Size() × numRFFeatures feature keys, config suffix pre-keyed
 	tOut  []float64 // time-forest outputs, one per configuration
 	pOut  []float64 // power-forest outputs, one per configuration
+	stack []int32   // SweepInto scratch, shared by both forests in turn
 }
 
-// newSpaceArena lays out an arena for a space: one key row per
-// configuration in At order, with the six config-derived columns filled
-// by the same patchConfig the scalar path uses (identical expressions,
-// identical values) and then key-transformed. The transform is exact —
-// keyed comparisons decide identically to the float comparisons the
-// tree walk performs — so pre-keying changes no prediction bit.
-func newSpaceArena(space hw.Space) *spaceArena {
+// arenaPool is the per-(model, space) sweep state: one immutable
+// rf.SweepPlan per forest, built once when the pool is installed and
+// shared lock-free by every concurrent sweep, plus a sync.Pool of
+// private workspaces so batched sweeps from many sessions scale with
+// cores instead of serializing. The pool is space-keyed as a whole — a
+// model asked to sweep a different space installs a fresh pool (see
+// RandomForest.arenaFor); mixed-space workloads therefore rebuild plans
+// but never evaluate against a foreign space.
+type arenaPool struct {
+	space        hw.Space
+	tPlan, pPlan *rf.SweepPlan
+	pool         sync.Pool // of *spaceArena sized for space
+}
+
+// newArenaPool builds the sweep plans for a space: each configuration's
+// six suffix features are filled by the same patchConfig the scalar
+// path uses (identical expressions, identical values), in At order, and
+// folded into each forest's plan behind the shared counter prefix.
+func newArenaPool(space hw.Space, tc, pc *rf.CompiledForest) *arenaPool {
 	n := space.Size()
-	a := &spaceArena{
-		space: space,
-		keys:  make([]uint64, n*numRFFeatures),
-		tOut:  make([]float64, n),
-		pOut:  make([]float64, n),
-	}
+	suffix := make([]float64, 0, n*numConfigFeatures)
 	var row [numRFFeatures]float64
-	i := 0
 	space.ForEach(func(c hw.Config) {
 		patchConfig(row[:], c)
-		rf.KeysInto(a.keys[i*numRFFeatures+counters.NumCounters:(i+1)*numRFFeatures],
-			row[counters.NumCounters:])
-		i++
+		suffix = append(suffix, row[counters.NumCounters:]...)
 	})
-	return a
+	return &arenaPool{
+		space: space,
+		tPlan: tc.NewSweepPlan(counters.NumCounters, n, suffix),
+		pPlan: pc.NewSweepPlan(counters.NumCounters, n, suffix),
+	}
 }
 
-// arenaPool hands out spaceArenas for one space. It replaces the old
-// single mutex-guarded arena: concurrent PredictSpace calls each take
-// their own arena from the sync.Pool (building one only when the pool
-// is empty) and return it afterwards, so batched sweeps from many
-// sessions scale with cores instead of serializing. The pool is
-// space-keyed as a whole — a model asked to sweep a different space
-// installs a fresh pool (see RandomForest.arenaFor); mixed-space
-// workloads therefore thrash the pool but never corrupt an arena.
-type arenaPool struct {
-	space hw.Space
-	pool  sync.Pool // of *spaceArena, all built for space
-}
-
-// get returns an arena for p.space, reporting whether it was pooled
+// get returns a workspace for p.space, reporting whether it was pooled
 // (true) or freshly built (false).
 func (p *arenaPool) get() (*spaceArena, bool) {
 	if a, ok := p.pool.Get().(*spaceArena); ok {
 		return a, true
 	}
-	return newSpaceArena(p.space), false
+	n := p.tPlan.Rows()
+	return &spaceArena{
+		tOut:  make([]float64, n),
+		pOut:  make([]float64, n),
+		stack: make([]int32, max(p.tPlan.StackLen(), p.pPlan.StackLen())),
+	}, false
 }
 
 // arenaInstr mirrors pool traffic into a metrics registry.
@@ -113,16 +103,16 @@ type arenaInstr struct {
 	hit, miss *metrics.Counter
 }
 
-// arenaFor returns the model's arena pool for space, installing a new
-// one when none exists or the cached pool was built for a different
-// space. The install races benignly: a loser keeps using the pool it
-// created (correct, just unshared for that one sweep).
+// arenaFor returns the model's arena pool for space, building its sweep
+// plans and installing it when none exists or the cached pool was built
+// for a different space. The install races benignly: a loser keeps
+// using the pool it created (correct, just unshared for that one sweep).
 func (m *RandomForest) arenaFor(space hw.Space) *arenaPool {
 	ap := m.arenas.Load()
 	if ap != nil && ap.space.Equal(space) {
 		return ap
 	}
-	fresh := &arenaPool{space: space}
+	fresh := newArenaPool(space, m.timeCompiled, m.powerCompiled)
 	m.arenas.CompareAndSwap(ap, fresh)
 	if cur := m.arenas.Load(); cur != nil && cur.space.Equal(space) {
 		return cur
@@ -166,19 +156,19 @@ func (m *RandomForest) countArena(hit bool) {
 	}
 }
 
-// PredictSpace implements SpaceEvaluator with one batched compiled-
-// forest evaluation per forest: the kernel's counter prefix is computed
-// once and patched into every row, the whole matrix runs through the
-// compiled time and power forests tree-by-tree, and each estimate is
-// assembled with exactly the scalar path's final operations
-// (math.Exp(t)·insts, p). Returns false — leaving dst untouched — when
-// compiled inference is disabled (SetCompiled(false)).
+// PredictSpace implements SpaceEvaluator with one set-descent sweep per
+// forest: the kernel's counter prefix is computed once, each compiled
+// forest descends every tree once over the bitset of configurations
+// still on the path (rf.SweepPlan), and each estimate is assembled with
+// exactly the scalar path's final operations (math.Exp(t)·insts, p).
+// Returns false — leaving dst untouched — when compiled inference is
+// disabled (SetCompiled(false)).
 //
-// PredictSpace is safe for concurrent use: each call borrows a private
-// arena from the model's pool, so concurrent sweeps (one per serving
-// session) proceed without serializing on any lock. Per-sweep results
-// are bit-identical regardless of which arena serves them — arenas
-// differ only in identity, never in contents.
+// PredictSpace is safe for concurrent use: the sweep plans are
+// immutable and each call borrows a private arena from the model's
+// pool, so concurrent sweeps (one per serving session) proceed without
+// serializing on any lock. Arenas hold only outputs and scratch, so
+// which one serves a sweep is unobservable.
 //
 //mpclint:hotpath warm sweep pinned at 0 allocs/op by TestPredictSpaceZeroAllocSteadyState
 func (m *RandomForest) PredictSpace(cs counters.Set, space hw.Space, dst []Estimate) bool {
@@ -212,26 +202,15 @@ func (m *RandomForest) predictSpace(cs counters.Set, space hw.Space, dst []Estim
 	sp := tc.Start(telemetry.SpanFeaturize)
 	var prefix [counters.NumCounters]float64
 	counterPrefix(prefix[:], cs)
-	var kprefix [counters.NumCounters]uint64
-	rf.KeysInto(kprefix[:], prefix[:])
-
-	//mpclint:ignore hotpath-alloc pool install is a once-per-space slow path; warm sweeps load the existing pool, pinned by TestPredictSpaceZeroAllocSteadyState
+	//mpclint:ignore hotpath-alloc pool and plan install is a once-per-space slow path; warm sweeps load the existing pool, pinned by TestPredictSpaceZeroAllocSteadyState
 	ap := m.arenaFor(space)
 	//mpclint:ignore hotpath-alloc arena build is the pool-miss slow path; warm sweeps reuse a pooled arena, pinned by TestPredictSpaceZeroAllocSteadyState
 	a, pooled := ap.get()
-	if !a.space.Equal(space) {
-		// Defensive: never trust a foreign arena's suffix columns.
-		//mpclint:ignore hotpath-alloc defensive rebuild only runs if a foreign arena leaks into the pool, which the space-keyed install forbids
-		a, pooled = newSpaceArena(space), false
-	}
 	m.countArena(pooled)
-	for r := 0; r < n; r++ {
-		copy(a.keys[r*numRFFeatures:r*numRFFeatures+counters.NumCounters], kprefix[:])
-	}
 	sp.End()
 	sp = tc.Start(telemetry.SpanForestEval)
-	m.timeCompiled.PredictBatchKeysInto(a.tOut, a.keys)
-	m.powerCompiled.PredictBatchKeysInto(a.pOut, a.keys)
+	ap.tPlan.SweepInto(a.tOut, prefix[:], a.stack)
+	ap.pPlan.SweepInto(a.pOut, prefix[:], a.stack)
 	insts := instsOf(cs)
 	for r := 0; r < n; r++ {
 		dst[r] = Estimate{TimeMS: math.Exp(a.tOut[r]) * insts, GPUPowerW: a.pOut[r]}

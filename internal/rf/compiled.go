@@ -37,7 +37,8 @@ import (
 // trees at a time in register-resident cursors; the batched paths
 // advance blocks of sixteen independent rows one level at a time, so
 // the node loads of many rows overlap instead of serializing on one
-// row's dependent chain.
+// row's dependent chain. A configuration sweep, whose rows share a
+// feature prefix, goes through SweepPlan instead (sweep.go).
 //
 // The compiled form is derived state, never persisted: MarshalBinary
 // stays the canonical wire format, and a CompiledForest is rebuilt from
@@ -51,11 +52,6 @@ import (
 // reordering trees would change the float summation order and is never
 // done.
 //
-// Compile also retains the PR 4 depth-first structure-of-arrays pool
-// (legacy) solely so SelfCheck can cross-validate two independently
-// derived layouts against the tree walk; predictLegacy is not a serving
-// path.
-//
 // A CompiledForest is safe for concurrent use: all fields are
 // immutable after Compile, and the Into variants write only into
 // caller-owned buffers.
@@ -68,7 +64,6 @@ type CompiledForest struct {
 	depths  []int32   // per-tree depth = descent trip count
 	nTrees  int
 	nFeat   int
-	legacy  legacyPool
 }
 
 // cnode is one compiled node: 16 bytes, four to a cache line.
@@ -76,16 +71,6 @@ type cnode struct {
 	tkey uint64 // threshKey of the split threshold; ^0 for leaves (self-loop)
 	left int32  // pool index of the left child; right is always left+1; self for leaves
 	feat int32  // split feature; 0 for leaves (kx[0] is always readable)
-}
-
-// legacyPool is the PR 4 depth-first SoA layout, kept only as the
-// second opinion for SelfCheck's three-way cross-validation.
-type legacyPool struct {
-	feature []int16   // split feature per node; -1 marks a leaf
-	thresh  []float64 // split threshold, or the leaf's mean target
-	left    []int32
-	right   []int32
-	roots   []int32
 }
 
 // maxCompiledFeatures bounds the feature dimensionality the compiled
@@ -167,33 +152,8 @@ func (f *Forest) Compile() (*CompiledForest, error) {
 		depths:  make([]int32, len(f.trees)),
 		nTrees:  len(f.trees),
 		nFeat:   f.nFeatures,
-		legacy: legacyPool{
-			feature: make([]int16, total),
-			thresh:  make([]float64, total),
-			left:    make([]int32, total),
-			right:   make([]int32, total),
-			roots:   make([]int32, len(f.trees)),
-		},
 	}
-	base := int32(0)
 	for t := range f.trees {
-		// Legacy depth-first pool: node order as trained.
-		c.legacy.roots[t] = base
-		for i, nd := range f.trees[t].Nodes {
-			j := base + int32(i)
-			if nd.Feature < 0 {
-				c.legacy.feature[j] = -1
-				c.legacy.thresh[j] = nd.Thresh
-				continue
-			}
-			c.legacy.feature[j] = int16(nd.Feature)
-			c.legacy.thresh[j] = nd.Thresh
-			c.legacy.left[j] = base + nd.Left
-			c.legacy.right[j] = base + nd.Right
-		}
-		base += int32(len(f.trees[t].Nodes))
-
-		// Branchless pool: clustered level-order layout.
 		poolBase := int32(len(c.nodes))
 		nodes, leaves, depth, err := compileTree(&f.trees[t], t, poolBase)
 		if err != nil {
@@ -406,8 +366,8 @@ func (c *CompiledForest) PredictBatch(X []float64) []float64 {
 // results are bit-identical to calling Predict row by row. It panics on
 // a dimensionality or size mismatch, checked up front.
 //
-// Callers that can cache the key transform across sweeps (the
-// predict-layer space arena) should use PredictBatchKeysInto instead.
+// Callers that can cache the key transform across calls (the fused
+// cross-session batch) should use PredictBatchKeysInto instead.
 //
 //mpclint:hotpath pinned at 0 allocs/op by TestCompiledZeroAlloc
 func (c *CompiledForest) PredictBatchInto(dst []float64, X []float64) []float64 {
@@ -446,10 +406,11 @@ func (c *CompiledForest) PredictBatchInto(dst []float64, X []float64) []float64 
 // and dst one slot per row. Trees iterate outermost — each tree's hot
 // cluster stays cached across every row of the sweep — with rows
 // advancing level-synchronously in blocks of rowBlock. This is the
-// fastest batched path when the caller can precompute or cache keys
-// (the space arena pre-keys its config columns once per space and only
-// re-keys the eight counter columns per sweep). Bit-identical to
-// Predict on each row.
+// fastest row-blocked path when the caller can precompute or cache keys
+// (the fused cross-session batch pre-keys its config columns once per
+// space and only re-keys the eight counter columns per request); a
+// single shared-prefix sweep is faster still through SweepPlan.
+// Bit-identical to Predict on each row.
 //
 //mpclint:hotpath pinned at 0 allocs/op by TestCompiledZeroAlloc
 func (c *CompiledForest) PredictBatchKeysInto(dst []float64, kX []uint64) []float64 {
@@ -538,7 +499,7 @@ func (c *CompiledForest) descendBlock(out []float64, kblk []uint64) {
 // callers may pre-key stable columns once and re-key only the columns
 // that change between sweeps.
 //
-//mpclint:hotpath pinned transitively under the PredictSpace steady-state pin
+//mpclint:hotpath pinned transitively under the FusedPlan.Stage pin (TestFusedPlanZeroAlloc) and directly by TestCompiledZeroAlloc
 func KeysInto(dst []uint64, X []float64) {
 	if len(dst) != len(X) {
 		panic(fmt.Sprintf("rf: KeysInto dst holds %d keys, matrix has %d values", len(dst), len(X)))
@@ -548,110 +509,50 @@ func KeysInto(dst []uint64, X []float64) {
 	}
 }
 
-// KeyOf exposes the input-side key transform for callers that patch
-// single feature values into a pre-keyed matrix.
-//
-//mpclint:hotpath pinned transitively under the PredictSpace steady-state pin
-func KeyOf(v float64) uint64 { return keyOf(v) }
-
-// predictLegacy is the PR 4 depth-first branchy descent over the
-// retained legacy pool. It is not a serving path: SelfCheck uses it as
-// an independently derived second opinion, and the paired benchmarks
-// use it as the baseline the branchless kernels are measured against.
-func (c *CompiledForest) predictLegacy(x []float64) float64 {
-	if len(x) != c.nFeat {
-		panic(fmt.Sprintf("rf: predictLegacy with %d features, compiled for %d", len(x), c.nFeat))
-	}
-	lg := &c.legacy
-	s := 0.0
-	for _, root := range lg.roots {
-		i := root
-		for lg.feature[i] >= 0 {
-			if x[lg.feature[i]] <= lg.thresh[i] {
-				i = lg.left[i]
-			} else {
-				i = lg.right[i]
-			}
-		}
-		s += lg.thresh[i]
-	}
-	return s / float64(c.nTrees)
-}
-
-// predictLegacyBatchInto is the PR 4 tree-outer batched descent over
-// the legacy pool, kept as the benchmark baseline for the interleaved
-// kernels (and as batch-level cross-validation in SelfCheck).
-func (c *CompiledForest) predictLegacyBatchInto(dst []float64, X []float64) []float64 {
-	d := c.nFeat
-	if len(X)%d != 0 {
-		panic(fmt.Sprintf("rf: predictLegacyBatchInto matrix of %d values is not a multiple of %d features", len(X), d))
-	}
-	rows := len(X) / d
-	if len(dst) != rows {
-		panic(fmt.Sprintf("rf: predictLegacyBatchInto dst holds %d rows, matrix has %d", len(dst), rows))
-	}
-	for r := range dst {
-		dst[r] = 0
-	}
-	lg := &c.legacy
-	for _, root := range lg.roots {
-		off := 0
-		for r := 0; r < rows; r++ {
-			x := X[off : off+d : off+d]
-			i := root
-			for lg.feature[i] >= 0 {
-				if x[lg.feature[i]] <= lg.thresh[i] {
-					i = lg.left[i]
-				} else {
-					i = lg.right[i]
-				}
-			}
-			dst[r] += lg.thresh[i]
-			off += d
-		}
-	}
-	div := float64(c.nTrees)
-	for r := range dst {
-		dst[r] /= div
-	}
-	return dst
-}
+// selfCheckRows bounds one SelfCheck sweep plan: samples are swept in
+// blocks of this many rows, so any sample count fits the plans' row
+// limit and each plan stays small.
+const selfCheckRows = 256
 
 // SelfCheck verifies the compiled forest on `samples` deterministic
 // pseudo-random inputs drawn to straddle every feature's observed
-// threshold range, comparing raw float64 bits three ways: the
-// tree-walking Forest (ground truth), the branchless level-order
-// layout (the serving path), and the retained legacy depth-first pool
-// (an independently derived compilation of the same Forest). Any
-// difference — even in the last ulp, from either layout, scalar or
-// batched — is an error. This is the load/train-time guard cmd/train
-// runs before persisting a model (compiled inference is only trusted
-// because it is bit-exact).
+// threshold range, comparing raw float64 bits against the tree-walking
+// Forest (ground truth) for every kernel: the branchless scalar
+// descent, both row-blocked batch descents (float and keyed input), and
+// the set-descent sweep. The sweep is the independent second opinion —
+// it shares the node pool but none of the descent code — and runs
+// twice per block of samples: once with no shared prefix (every split
+// resolved when the plan is built) and once sharing the first half of
+// the features from the block's first sample (the serving shape: a
+// prefix moved as a whole at sweep time, a suffix split in the plan).
+// Any difference — even in the last ulp — is an error. This is the
+// load/train-time guard cmd/train runs before persisting a model
+// (compiled inference is only trusted because it is bit-exact).
 func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 	if f.nFeatures != c.nFeat {
 		return fmt.Errorf("rf: self-check against a forest with %d features, compiled for %d", f.nFeatures, c.nFeat)
 	}
-	lo := make([]float64, c.nFeat)
-	hi := make([]float64, c.nFeat)
+	d := c.nFeat
+	lo := make([]float64, d)
+	hi := make([]float64, d)
 	for i := range lo {
 		lo[i] = math.Inf(1)
 		hi[i] = math.Inf(-1)
 	}
-	for i, ft := range c.legacy.feature {
-		if ft < 0 {
-			continue
-		}
-		if v := c.legacy.thresh[i]; v < lo[ft] {
-			lo[ft] = v
-		}
-		if v := c.legacy.thresh[i]; v > hi[ft] {
-			hi[ft] = v
+	for t := range f.trees {
+		for _, nd := range f.trees[t].Nodes {
+			if nd.Feature < 0 {
+				continue
+			}
+			lo[nd.Feature] = math.Min(lo[nd.Feature], nd.Thresh)
+			hi[nd.Feature] = math.Max(hi[nd.Feature], nd.Thresh)
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	x := make([]float64, c.nFeat)
-	batch := make([]float64, 0, samples*c.nFeat)
+	batch := make([]float64, samples*d)
+	want := make([]float64, samples)
 	for s := 0; s < samples; s++ {
+		x := batch[s*d : (s+1)*d]
 		for i := range x {
 			l, h := lo[i], hi[i]
 			if l > h { // feature never split on: any value exercises it
@@ -660,34 +561,63 @@ func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 			pad := (h-l)*0.25 + 1
 			x[i] = l - pad + rng.Float64()*(h-l+2*pad)
 		}
-		batch = append(batch, x...)
-		want := f.Predict(x)
-		got := c.Predict(x)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			return fmt.Errorf("rf: branchless layout diverges at sample %d: compiled %v (bits %#x), tree-walk %v (bits %#x)",
-				s, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-		if lg := c.predictLegacy(x); math.Float64bits(lg) != math.Float64bits(want) {
-			return fmt.Errorf("rf: legacy pool diverges at sample %d: legacy %v (bits %#x), tree-walk %v (bits %#x)",
-				s, lg, math.Float64bits(lg), want, math.Float64bits(want))
+		want[s] = f.Predict(x)
+		if got := c.Predict(x); math.Float64bits(got) != math.Float64bits(want[s]) {
+			return selfCheckErr("branchless scalar", s, got, want[s])
 		}
 	}
-	if samples > 0 {
-		dst := make([]float64, samples)
-		ldst := make([]float64, samples)
-		c.PredictBatchInto(dst, batch)
-		c.predictLegacyBatchInto(ldst, batch)
-		for r := 0; r < samples; r++ {
-			want := f.Predict(batch[r*c.nFeat : (r+1)*c.nFeat])
-			if math.Float64bits(dst[r]) != math.Float64bits(want) {
-				return fmt.Errorf("rf: interleaved batch diverges at row %d: batch %v (bits %#x), tree-walk %v (bits %#x)",
-					r, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
+	if samples == 0 {
+		return nil
+	}
+	dst := make([]float64, samples)
+	c.PredictBatchInto(dst, batch)
+	for r, got := range dst {
+		if math.Float64bits(got) != math.Float64bits(want[r]) {
+			return selfCheckErr("interleaved batch", r, got, want[r])
+		}
+	}
+	keys := make([]uint64, len(batch))
+	KeysInto(keys, batch)
+	c.PredictBatchKeysInto(dst, keys)
+	for r, got := range dst {
+		if math.Float64bits(got) != math.Float64bits(want[r]) {
+			return selfCheckErr("keyed batch", r, got, want[r])
+		}
+	}
+
+	half := d / 2
+	row := make([]float64, d)
+	for b0 := 0; b0 < samples; b0 += selfCheckRows {
+		rows := min(samples-b0, selfCheckRows)
+		blk := batch[b0*d : (b0+rows)*d]
+		out := dst[:rows]
+		p := c.NewSweepPlan(0, rows, blk)
+		p.SweepInto(out, nil, make([]int32, p.StackLen()))
+		for r, got := range out {
+			if math.Float64bits(got) != math.Float64bits(want[b0+r]) {
+				return selfCheckErr("unshared sweep", b0+r, got, want[b0+r])
 			}
-			if math.Float64bits(ldst[r]) != math.Float64bits(want) {
-				return fmt.Errorf("rf: legacy batch diverges at row %d: batch %v (bits %#x), tree-walk %v (bits %#x)",
-					r, ldst[r], math.Float64bits(ldst[r]), want, math.Float64bits(want))
+		}
+		prefix := blk[:half]
+		suffix := make([]float64, 0, rows*(d-half))
+		for r := 0; r < rows; r++ {
+			suffix = append(suffix, blk[r*d+half:(r+1)*d]...)
+		}
+		p = c.NewSweepPlan(half, rows, suffix)
+		p.SweepInto(out, prefix, make([]int32, p.StackLen()))
+		for r, got := range out {
+			copy(row, prefix)
+			copy(row[half:], suffix[r*(d-half):(r+1)*(d-half)])
+			if w := f.Predict(row); math.Float64bits(got) != math.Float64bits(w) {
+				return selfCheckErr("shared-prefix sweep", b0+r, got, w)
 			}
 		}
 	}
 	return nil
+}
+
+// selfCheckErr reports one kernel's divergence from the tree walk.
+func selfCheckErr(kernel string, row int, got, want float64) error {
+	return fmt.Errorf("rf: %s diverges at sample %d: compiled %v (bits %#x), tree-walk %v (bits %#x)",
+		kernel, row, got, math.Float64bits(got), want, math.Float64bits(want))
 }
